@@ -2,12 +2,16 @@
 // 3M complex multiplication, and FP32 split modes applied to the real
 // component products (the hardware path XMX takes for complex data).
 
+#include <array>
 #include <complex>
+#include <cstddef>
 
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/gemm_call.hpp"
+#include "complex_epilogue.hpp"
 #include "gemm_kernel.hpp"
 #include "gemm_modes.hpp"
+#include "pack_arena.hpp"
 #include "split.hpp"
 
 namespace dcmesh::blas {
@@ -20,18 +24,35 @@ constexpr transpose real_op(transpose op) noexcept {
   return op == transpose::none ? transpose::none : transpose::trans;
 }
 
-/// Extract the real and imaginary planes of a stored complex operand.
-/// `negate_imag` folds a conjugate-transpose into the extraction.
+/// Real planes of one complex GEMM (operand planes, plane products),
+/// carved from the calling thread's grow-only kArenaSlotPlanes slot, each
+/// starting on a cache line.  Valid until this thread's next complex GEMM;
+/// a warm thread allocates nothing.
+template <typename R, std::size_t N>
+std::array<R*, N> arena_planes(const std::array<std::size_t, N>& counts) {
+  constexpr std::size_t per_line = kCacheLineBytes / sizeof(R);
+  std::array<std::size_t, N> offsets{};
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < N; ++i) {
+    offsets[i] = total;
+    total += (counts[i] + per_line - 1) / per_line * per_line;
+  }
+  R* base = pack_arena::for_thread().acquire<R>(kArenaSlotPlanes, total);
+  std::array<R*, N> planes{};
+  for (std::size_t i = 0; i < N; ++i) planes[i] = base + offsets[i];
+  return planes;
+}
+
+/// Extract the real and imaginary planes of a stored complex operand into
+/// `re`/`im` (rows x cols, leading dimension rows).  `negate_imag` folds a
+/// conjugate-transpose into the extraction.
 template <typename R>
-std::pair<matrix<R>, matrix<R>> extract_planes(const std::complex<R>* x,
-                                               blas_int rows, blas_int cols,
-                                               blas_int ld, bool negate_imag) {
-  matrix<R> re(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  matrix<R> im(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+void extract_planes(const std::complex<R>* x, blas_int rows, blas_int cols,
+                    blas_int ld, bool negate_imag, R* re, R* im) {
   for (blas_int j = 0; j < cols; ++j) {
     const std::complex<R>* src = x + j * ld;
-    R* re_col = re.data() + j * rows;
-    R* im_col = im.data() + j * rows;
+    R* re_col = re + j * rows;
+    R* im_col = im + j * rows;
     if (negate_imag) {
       for (blas_int i = 0; i < rows; ++i) {
         re_col[i] = src[i].real();
@@ -42,28 +63,6 @@ std::pair<matrix<R>, matrix<R>> extract_planes(const std::complex<R>* x,
         re_col[i] = src[i].real();
         im_col[i] = src[i].imag();
       }
-    }
-  }
-  return {std::move(re), std::move(im)};
-}
-
-/// C <- alpha*(Pr + i*Pi) + beta*C element-wise (the final complex
-/// combination after plane products; alpha/beta applied at full precision,
-/// matching MKL's FP32 epilogue).
-template <typename R>
-void combine_planes(blas_int m, blas_int n, std::complex<R> alpha,
-                    const matrix<R>& pr, const matrix<R>& pi,
-                    std::complex<R> beta, std::complex<R>* c, blas_int ldc) {
-  const std::size_t rows = static_cast<std::size_t>(m);
-  for (blas_int j = 0; j < n; ++j) {
-    const R* pr_col = pr.data() + static_cast<std::size_t>(j) * rows;
-    const R* pi_col = pi.data() + static_cast<std::size_t>(j) * rows;
-    std::complex<R>* c_col = c + j * ldc;
-    for (blas_int i = 0; i < m; ++i) {
-      const std::complex<R> product{pr_col[i], pi_col[i]};
-      c_col[i] = beta == std::complex<R>(0)
-                     ? alpha * product
-                     : alpha * product + beta * c_col[i];
     }
   }
 }
@@ -104,26 +103,37 @@ void gemm_4m(compute_mode mode, transpose transa, transpose transb,
   const blas_int rows_b = transb == transpose::none ? k : n;
   const blas_int cols_b = transb == transpose::none ? n : k;
 
-  auto [ar, ai] = extract_planes(a, rows_a, cols_a, lda,
-                                 transa == transpose::conj_trans);
-  auto [br, bi] = extract_planes(b, rows_b, cols_b, ldb,
-                                 transb == transpose::conj_trans);
+  const auto size_a = static_cast<std::size_t>(rows_a) *
+                      static_cast<std::size_t>(cols_a);
+  const auto size_b = static_cast<std::size_t>(rows_b) *
+                      static_cast<std::size_t>(cols_b);
+  const auto size_c =
+      static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+  const auto [ar, ai, br, bi, pr, pi] = arena_planes<R, 6>(
+      {size_a, size_a, size_b, size_b, size_c, size_c});
+  extract_planes(a, rows_a, cols_a, lda, transa == transpose::conj_trans,
+                 ar, ai);
+  extract_planes(b, rows_b, cols_b, ldb, transb == transpose::conj_trans,
+                 br, bi);
   const transpose ta = real_op(transa);
   const transpose tb = real_op(transb);
 
-  matrix<R> pr(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  matrix<R> pi(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
   // Pr = Ar*Br - Ai*Bi ; Pi = Ar*Bi + Ai*Br
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar.data(), rows_a,
-                    br.data(), rows_b, R(0), pr.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(-1), ai.data(), rows_a,
-                    bi.data(), rows_b, R(1), pr.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar.data(), rows_a,
-                    bi.data(), rows_b, R(0), pi.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ai.data(), rows_a,
-                    br.data(), rows_b, R(1), pi.data(), m);
+  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar, rows_a, br, rows_b,
+                    R(0), pr, m);
+  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(-1), ai, rows_a, bi, rows_b,
+                    R(1), pr, m);
+  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar, rows_a, bi, rows_b,
+                    R(0), pi, m);
+  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ai, rows_a, br, rows_b,
+                    R(1), pi, m);
 
-  combine_planes(m, n, alpha, pr, pi, beta, c, ldc);
+  // The roundings 4M's epilogue has always had: every product rounded in
+  // single precision, the p.re products fused in double.
+  constexpr cmul_rounding rounding = std::is_same_v<R, float>
+                                         ? cmul_rounding::unfused
+                                         : cmul_rounding::fuse_p_re;
+  combine_planes(m, n, alpha, rounding, pr, pi, beta, rounding, c, ldc);
 }
 
 /// 3M complex GEMM (Karatsuba-style): three real products
@@ -140,43 +150,39 @@ void gemm_3m(transpose transa, transpose transb, blas_int m, blas_int n,
   const blas_int rows_b = transb == transpose::none ? k : n;
   const blas_int cols_b = transb == transpose::none ? n : k;
 
-  auto [ar, ai] = extract_planes(a, rows_a, cols_a, lda,
-                                 transa == transpose::conj_trans);
-  auto [br, bi] = extract_planes(b, rows_b, cols_b, ldb,
-                                 transb == transpose::conj_trans);
+  const auto size_a = static_cast<std::size_t>(rows_a) *
+                      static_cast<std::size_t>(cols_a);
+  const auto size_b = static_cast<std::size_t>(rows_b) *
+                      static_cast<std::size_t>(cols_b);
+  const auto size_c =
+      static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+  const auto [ar, ai, br, bi, sa, sb, p1, p2, p3] = arena_planes<R, 9>(
+      {size_a, size_a, size_b, size_b, size_a, size_b, size_c, size_c,
+       size_c});
+  extract_planes(a, rows_a, cols_a, lda, transa == transpose::conj_trans,
+                 ar, ai);
+  extract_planes(b, rows_b, cols_b, ldb, transb == transpose::conj_trans,
+                 br, bi);
   const transpose ta = real_op(transa);
   const transpose tb = real_op(transb);
 
-  matrix<R> sa(static_cast<std::size_t>(rows_a),
-               static_cast<std::size_t>(cols_a));
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    sa.data()[i] = ar.data()[i] + ai.data()[i];
-  }
-  matrix<R> sb(static_cast<std::size_t>(rows_b),
-               static_cast<std::size_t>(cols_b));
-  for (std::size_t i = 0; i < sb.size(); ++i) {
-    sb.data()[i] = br.data()[i] + bi.data()[i];
-  }
+  for (std::size_t i = 0; i < size_a; ++i) sa[i] = ar[i] + ai[i];
+  for (std::size_t i = 0; i < size_b; ++i) sb[i] = br[i] + bi[i];
 
-  matrix<R> p1(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  matrix<R> p2(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  matrix<R> p3(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  gemm_blocked(ta, tb, m, n, k, R(1), ar.data(), rows_a, br.data(), rows_b,
-               R(0), p1.data(), m);
-  gemm_blocked(ta, tb, m, n, k, R(1), ai.data(), rows_a, bi.data(), rows_b,
-               R(0), p2.data(), m);
-  gemm_blocked(ta, tb, m, n, k, R(1), sa.data(), rows_a, sb.data(), rows_b,
-               R(0), p3.data(), m);
+  gemm_blocked(ta, tb, m, n, k, R(1), ar, rows_a, br, rows_b, R(0), p1, m);
+  gemm_blocked(ta, tb, m, n, k, R(1), ai, rows_a, bi, rows_b, R(0), p2, m);
+  gemm_blocked(ta, tb, m, n, k, R(1), sa, rows_a, sb, rows_b, R(0), p3, m);
 
-  matrix<R> pr(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  matrix<R> pi(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < pr.size(); ++i) {
-    const R v1 = p1.data()[i];
-    const R v2 = p2.data()[i];
-    pr.data()[i] = v1 - v2;
-    pi.data()[i] = p3.data()[i] - v1 - v2;
+  // Cr = P1 - P2 into P1's plane, Ci = P3 - P1 - P2 into P3's.
+  for (std::size_t i = 0; i < size_c; ++i) {
+    const R v1 = p1[i];
+    const R v2 = p2[i];
+    p1[i] = v1 - v2;
+    p3[i] = p3[i] - v1 - v2;
   }
-  combine_planes(m, n, alpha, pr, pi, beta, c, ldc);
+  // The roundings 3M's epilogue has always had.
+  combine_planes(m, n, alpha, cmul_rounding::fuse_p_im, p1, p3, beta,
+                 cmul_rounding::fuse_w_re, c, ldc);
 }
 
 }  // namespace

@@ -17,6 +17,9 @@
 //    participant) and slot_a for one A-block slice per region seat
 //    (seat_slices), so which pool worker runs which block never decides
 //    what gets allocated.
+//  - A complex GEMM holds slot_planes for its re/im operand planes and
+//    plane products while it runs the real component products, which use
+//    slots A and B, so the nesting never shares a slot.
 //  - Slots must not be held across a nested GEMM call on the same thread;
 //    the blocked kernels never do (component products are swept inside
 //    one call, and the complex 3M/4M plane products run sequentially,
@@ -35,11 +38,13 @@
 namespace dcmesh::blas::detail {
 
 /// Arena slots: B panels (packed by the calling thread, shared with the
-/// parallel region) and A blocks (one seat_slices slice per participant
-/// of the region, also in the calling thread's arena).
+/// parallel region), A blocks (one seat_slices slice per participant
+/// of the region, also in the calling thread's arena) and the complex
+/// GEMM's real/imaginary planes.
 inline constexpr int kArenaSlotB = 0;
 inline constexpr int kArenaSlotA = 1;
-inline constexpr int kArenaSlots = 2;
+inline constexpr int kArenaSlotPlanes = 2;
+inline constexpr int kArenaSlots = 3;
 
 /// Grow-only aligned scratch slots; one instance per thread.
 class pack_arena {

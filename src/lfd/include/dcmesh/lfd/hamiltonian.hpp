@@ -40,11 +40,15 @@ class hamiltonian {
   void apply_kinetic(const_matrix_view<std::complex<R>> psi,
                      matrix_view<std::complex<R>> out) const;
 
-  /// out = (-1/2 nabla^2 - i A d/dz) * psi — the non-diagonal part of H,
-  /// used by the Strang propagator (the diagonal part V + A^2/2 is applied
-  /// as an exact phase).
-  void apply_kinetic_field(const_matrix_view<std::complex<R>> psi,
-                           matrix_view<std::complex<R>> out) const;
+  /// One column of apply(): out = H * in over grid().size() points.
+  /// Columns are independent, so callers may run columns concurrently.
+  void apply_column(const std::complex<R>* in, std::complex<R>* out) const;
+
+  /// out = (-1/2 nabla^2 - i A d/dz) * in for one column — the
+  /// non-diagonal part of H, used by the Strang propagator (the diagonal
+  /// part V + A^2/2 is applied as an exact phase).
+  void apply_kinetic_field_column(const std::complex<R>* in,
+                                  std::complex<R>* out) const;
 
   /// Upper bound on ||H|| (stability: dt * bound should stay < ~1 for the
   /// 4th-order Taylor propagator).

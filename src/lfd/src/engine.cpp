@@ -1,5 +1,6 @@
 #include "dcmesh/lfd/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -85,25 +86,32 @@ void lfd_engine<R>::propagate_local(double a_mid) {
         "(||H||*dt > 2); refine dt or coarsen the mesh");
   }
 
-  const auto taylor_with = [&](auto&& apply_op) {
-    // psi <- sum_{n=0}^{N} (-i Op dt)^n / n! psi
-    for (std::size_t i = 0; i < psi_.size(); ++i) {
-      scratch_term_.data()[i] = psi_.data()[i];
-    }
+  // The operator acts column by column, so each orbital runs its whole
+  // expansion in one team index: psi_j <- sum_{n=0}^{N} (-i Op dt)^n / n!
+  // psi_j.  Every element sees the same operations, in the same order, as
+  // a sweep of the whole matrix per order would apply.
+  const std::size_t ngrid = psi_.rows();
+  const auto taylor_column = [&](std::size_t j, auto&& apply_op) {
+    C* psi = psi_.data() + j * ngrid;
+    C* term = scratch_term_.data() + j * ngrid;
+    C* h_term = scratch_h_.data() + j * ngrid;
+    std::copy_n(psi, ngrid, term);
     for (int n = 1; n <= opt_.taylor_order; ++n) {
-      apply_op(scratch_term_.view(), scratch_h_.view());
+      apply_op(term, h_term);
       const double scale = opt_.dt / static_cast<double>(n);
       const C coeff(0, static_cast<R>(-scale));  // (-i dt / n)
-      for (std::size_t i = 0; i < psi_.size(); ++i) {
-        scratch_term_.data()[i] = coeff * scratch_h_.data()[i];
-        psi_.data()[i] += scratch_term_.data()[i];
+      for (std::size_t g = 0; g < ngrid; ++g) {
+        term[g] = coeff * h_term[g];
+        psi[g] += term[g];
       }
     }
   };
+  const auto columns = static_cast<long>(psi_.cols());
 
   if (opt_.propagator == propagator_kind::taylor) {
-    taylor_with([this](const_matrix_view<C> in, matrix_view<C> out) {
-      h_.apply(in, out);
+    sched::team_parallel_for(columns, /*dynamic_chunks=*/false, [&](long j) {
+      taylor_column(static_cast<std::size_t>(j),
+                    [this](const C* in, C* out) { h_.apply_column(in, out); });
     });
     return;
   }
@@ -111,7 +119,6 @@ void lfd_engine<R>::propagate_local(double a_mid) {
   // Strang: exp(-i D dt/2) exp(-i T dt) exp(-i D dt/2) with D = V + A^2/2
   // applied as an exact elementwise phase (unitary by construction).
   const std::span<const R> v = h_.potential();
-  const std::size_t ngrid = psi_.rows();
   aligned_buffer<C> phase(ngrid);
   const double half_a2 = 0.5 * a_mid * a_mid;
   for (std::size_t g = 0; g < ngrid; ++g) {
@@ -120,17 +127,18 @@ void lfd_engine<R>::propagate_local(double a_mid) {
     phase[g] = C(static_cast<R>(std::cos(angle)),
                  static_cast<R>(std::sin(angle)));
   }
-  const auto apply_phase = [&] {
-    for (std::size_t j = 0; j < psi_.cols(); ++j) {
-      C* col = psi_.data() + j * ngrid;
-      for (std::size_t g = 0; g < ngrid; ++g) col[g] *= phase[g];
-    }
+  const auto apply_phase = [&](std::size_t j) {
+    C* col = psi_.data() + j * ngrid;
+    for (std::size_t g = 0; g < ngrid; ++g) col[g] *= phase[g];
   };
-  apply_phase();
-  taylor_with([this](const_matrix_view<C> in, matrix_view<C> out) {
-    h_.apply_kinetic_field(in, out);
+  sched::team_parallel_for(columns, /*dynamic_chunks=*/false, [&](long j) {
+    const auto col = static_cast<std::size_t>(j);
+    apply_phase(col);
+    taylor_column(col, [this](const C* in, C* out) {
+      h_.apply_kinetic_field_column(in, out);
+    });
+    apply_phase(col);
   });
-  apply_phase();
 }
 
 template <typename R>
@@ -183,9 +191,8 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
   using C = std::complex<R>;
   trace::span step_span("lfd/qd_step", "sched");
 
-  // Serial prologue: the local propagation's Taylor iterations are an
-  // inherently sequential recurrence (its stencil applications already
-  // run on the pool's worker team via team_parallel_for).
+  // Prologue: the local propagation is one team region over columns
+  // (each column's Taylor recurrence is sequential; columns are not).
   const double a_mid = opt_.pulse.a(t_ + 0.5 * opt_.dt);
   propagate_local(a_mid);
 

@@ -36,32 +36,47 @@ void hamiltonian<R>::set_potential(std::vector<double> v_loc) {
 }
 
 template <typename R>
-void hamiltonian<R>::apply(const_matrix_view<std::complex<R>> psi,
-                           matrix_view<std::complex<R>> out) const {
+void hamiltonian<R>::apply_column(const std::complex<R>* in,
+                                  std::complex<R>* out) const {
   using C = std::complex<R>;
-  const std::size_t ngrid = psi.rows;
-  const std::size_t norb = psi.cols;
+  const auto ngrid = static_cast<std::size_t>(grid_.size());
   const R a = static_cast<R>(a_field_);
   const R half_a2 = static_cast<R>(0.5 * a_field_ * a_field_);
-  const C grad_coeff{0, -a};  // -i A d/dz
+  // Local potential + diamagnetic term first (overwrites out).
+  for (std::size_t g = 0; g < ngrid; ++g) {
+    out[g] = (v_[g] + half_a2) * in[g];
+  }
+  mesh::add_kinetic<R>(grid_, order_, {in, ngrid}, C(1), {out, ngrid});
+  if (a != R(0)) {
+    mesh::add_gradient<R>(grid_, order_, axis_, {in, ngrid}, C{0, -a},
+                          {out, ngrid});  // -i A d/dz
+  }
+}
 
-  // Columns are independent; the sweep is a team region on the sched
-  // pool.
+template <typename R>
+void hamiltonian<R>::apply_kinetic_field_column(const std::complex<R>* in,
+                                                std::complex<R>* out) const {
+  using C = std::complex<R>;
+  const auto ngrid = static_cast<std::size_t>(grid_.size());
+  const R a = static_cast<R>(a_field_);
+  std::fill_n(out, ngrid, C(0));
+  mesh::add_kinetic<R>(grid_, order_, {in, ngrid}, C(1), {out, ngrid});
+  if (a != R(0)) {
+    mesh::add_gradient<R>(grid_, order_, axis_, {in, ngrid}, C{0, -a},
+                          {out, ngrid});
+  }
+}
+
+// The matrix forms are team regions on the sched pool, one column per
+// index.
+
+template <typename R>
+void hamiltonian<R>::apply(const_matrix_view<std::complex<R>> psi,
+                           matrix_view<std::complex<R>> out) const {
   sched::team_parallel_for(
-      static_cast<long>(norb), /*dynamic_chunks=*/false, [&](long j) {
-        const C* in_col = psi.col(static_cast<std::size_t>(j));
-        C* out_col = out.col(static_cast<std::size_t>(j));
-        // Local potential + diamagnetic term first (overwrites out).
-        for (std::size_t g = 0; g < ngrid; ++g) {
-          out_col[g] = (v_[g] + half_a2) * in_col[g];
-        }
-        std::span<const C> in_span{in_col, ngrid};
-        std::span<C> out_span{out_col, ngrid};
-        mesh::add_kinetic<R>(grid_, order_, in_span, C(1), out_span);
-        if (a != R(0)) {
-          mesh::add_gradient<R>(grid_, order_, axis_, in_span, grad_coeff,
-                                out_span);
-        }
+      static_cast<long>(psi.cols), /*dynamic_chunks=*/false, [&](long j) {
+        apply_column(psi.col(static_cast<std::size_t>(j)),
+                     out.col(static_cast<std::size_t>(j)));
       });
 }
 
@@ -70,37 +85,13 @@ void hamiltonian<R>::apply_kinetic(const_matrix_view<std::complex<R>> psi,
                                    matrix_view<std::complex<R>> out) const {
   using C = std::complex<R>;
   const std::size_t ngrid = psi.rows;
-  const std::size_t norb = psi.cols;
   sched::team_parallel_for(
-      static_cast<long>(norb), /*dynamic_chunks=*/false, [&](long j) {
+      static_cast<long>(psi.cols), /*dynamic_chunks=*/false, [&](long j) {
         const C* in_col = psi.col(static_cast<std::size_t>(j));
         C* out_col = out.col(static_cast<std::size_t>(j));
         std::fill_n(out_col, ngrid, C(0));
         mesh::add_kinetic<R>(grid_, order_, {in_col, ngrid}, C(1),
                              {out_col, ngrid});
-      });
-}
-
-template <typename R>
-void hamiltonian<R>::apply_kinetic_field(
-    const_matrix_view<std::complex<R>> psi,
-    matrix_view<std::complex<R>> out) const {
-  using C = std::complex<R>;
-  const std::size_t ngrid = psi.rows;
-  const std::size_t norb = psi.cols;
-  const R a = static_cast<R>(a_field_);
-  const C grad_coeff{0, -a};
-  sched::team_parallel_for(
-      static_cast<long>(norb), /*dynamic_chunks=*/false, [&](long j) {
-        const C* in_col = psi.col(static_cast<std::size_t>(j));
-        C* out_col = out.col(static_cast<std::size_t>(j));
-        std::fill_n(out_col, ngrid, C(0));
-        mesh::add_kinetic<R>(grid_, order_, {in_col, ngrid}, C(1),
-                             {out_col, ngrid});
-        if (a != R(0)) {
-          mesh::add_gradient<R>(grid_, order_, axis_, {in_col, ngrid},
-                                grad_coeff, {out_col, ngrid});
-        }
       });
 }
 

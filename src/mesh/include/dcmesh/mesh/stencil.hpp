@@ -19,14 +19,14 @@ namespace dcmesh::mesh {
 enum class fd_order { second, fourth };
 
 /// out += coeff * (-1/2) nabla^2 psi on the periodic grid.
-/// `psi` and `out` hold grid.size() complex values.
+/// `psi` and `out` hold grid.size() complex values and do not overlap.
 template <typename R>
 void add_kinetic(const grid3d& grid, fd_order order,
                  std::span<const std::complex<R>> psi, std::complex<R> coeff,
                  std::span<std::complex<R>> out);
 
 /// out += coeff * d(psi)/d(axis) (central difference, periodic).
-/// axis: 0 = x, 1 = y, 2 = z.
+/// axis: 0 = x, 1 = y, 2 = z.  `psi` and `out` do not overlap.
 template <typename R>
 void add_gradient(const grid3d& grid, fd_order order, int axis,
                   std::span<const std::complex<R>> psi, std::complex<R> coeff,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdlib>
 #include <optional>
 #include <thread>
@@ -492,6 +493,43 @@ TEST(PackArena, AllocationFreeAfterWarmup) {
   }
   EXPECT_EQ(detail::pack_arena::total_allocations(), after_warmup)
       << "hot path allocated after warmup";
+}
+
+TEST(PackArena, ComplexPlanesAllocationFreeAfterWarmup) {
+  // The complex GEMM's re/im planes and plane products come from the
+  // calling thread's arena too: after one call per mode at the largest
+  // footprint, repeated complex calls allocate no slot.
+  const blas_int m = 40, n = 24, k = 150;
+  const auto re = signed_random(static_cast<std::size_t>(2 * m * k), 21);
+  const auto im = signed_random(static_cast<std::size_t>(2 * k * n), 22);
+  std::vector<std::complex<float>> a(static_cast<std::size_t>(m * k));
+  std::vector<std::complex<float>> b(static_cast<std::size_t>(k * n));
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = {re[2 * i], re[2 * i + 1]};
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = {im[2 * i], im[2 * i + 1]};
+  std::vector<std::complex<float>> c(static_cast<std::size_t>(m * n));
+  std::vector<std::complex<double>> ad(a.begin(), a.end());
+  std::vector<std::complex<double>> bd(b.begin(), b.end());
+  std::vector<std::complex<double>> cd(c.size());
+  const auto run = [&](compute_mode mode) {
+    scoped_compute_mode scope(mode);
+    cgemm(transpose::conj_trans, transpose::none, m, n, k, {1.0f, 0.5f},
+          a.data(), k, b.data(), k, {0.0f, 0.0f}, c.data(), m);
+    zgemm(transpose::conj_trans, transpose::none, m, n, k, {1.0, 0.5},
+          ad.data(), k, bd.data(), k, {0.5, 0.0}, cd.data(), m);
+  };
+  // 3M holds the most planes; bf16x3 the largest split panels.
+  run(compute_mode::complex_3m);
+  run(compute_mode::float_to_bf16x3);
+  run(compute_mode::standard);
+  const std::uint64_t after_warmup = detail::pack_arena::total_allocations();
+  for (int rep = 0; rep < 3; ++rep) {
+    run(compute_mode::standard);
+    run(compute_mode::complex_3m);
+    run(compute_mode::float_to_bf16x2);
+    run(compute_mode::float_to_tf32);
+  }
+  EXPECT_EQ(detail::pack_arena::total_allocations(), after_warmup)
+      << "complex GEMM allocated planes after warmup";
 }
 
 TEST(PackArena, GrowOnlyAndAlignment) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "dcmesh/blas/blas.hpp"
@@ -187,6 +189,72 @@ TEST(ComplexGemmEdge, SplitModesDoNotApplyToZgemm) {
   for (blas_int i = 0; i < m * n; ++i) {
     ASSERT_EQ(c_std[i], c_mode[i]);
   }
+}
+
+// The epilogue C <- alpha*P + beta*C rounds each complex product the way
+// that path always has (see complex_epilogue.hpp).  With k = 1 and
+// B = 1 the plane products P are known exactly, so the expected C can be
+// written out here with the same named roundings.
+enum class fused { none, p_re, p_im, w_re };
+
+template <typename R>
+std::complex<R> product(std::complex<R> w, std::complex<R> p, fused f) {
+  const R wr = w.real(), wi = w.imag(), pr = p.real(), pi = p.imag();
+  switch (f) {
+    case fused::none:
+      return {wr * pr - wi * pi, wr * pi + wi * pr};
+    case fused::p_re:
+      return {std::fma(pr, wr, -(pi * wi)), std::fma(pr, wi, pi * wr)};
+    case fused::p_im:
+      return {std::fma(-pi, wi, pr * wr), std::fma(pi, wr, pr * wi)};
+    case fused::w_re:
+    default:
+      return {std::fma(pr, wr, -(pi * wi)), std::fma(pi, wr, pr * wi)};
+  }
+}
+
+template <typename R, typename Gemm>
+void expect_epilogue(Gemm gemm, compute_mode mode, fused alpha_f,
+                     fused beta_f) {
+  using C = std::complex<R>;
+  const blas_int m = 257;
+  const auto a = random_complex<R>(m, 71);
+  const auto c0 = random_complex<R>(m, 72);
+  const C b(1, 0);
+  for (const bool overwrite : {true, false}) {
+    const C alpha(R(0.3), R(-0.7));
+    const C beta = overwrite ? C(0) : C(R(-0.45), R(0.65));
+    std::vector<C> c = c0;
+    {
+      scoped_compute_mode scope(mode);
+      gemm(transpose::none, transpose::none, m, 1, 1, alpha, a.data(), m, &b,
+           1, beta, c.data(), m);
+    }
+    std::vector<C> want(static_cast<std::size_t>(m));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      // 4M: Pr = ar*1 - ai*0 and Pi = ar*0 + ai*1 are exact.  3M: P1 = ar,
+      // P2 = 0, P3 = (ar + ai)*1, so Pi = (P3 - P1) - P2.
+      const R ar = a[i].real(), ai = a[i].imag();
+      const C p = mode == compute_mode::complex_3m ? C(ar, (ar + ai) - ar)
+                                                   : C(ar, ai);
+      want[i] = product(alpha, p, alpha_f);
+      if (!overwrite) want[i] += product(beta, c0[i], beta_f);
+    }
+    EXPECT_EQ(std::memcmp(want.data(), c.data(), want.size() * sizeof(C)), 0)
+        << "mode " << static_cast<int>(mode) << " beta " << beta;
+  }
+}
+
+TEST(ComplexGemmEdge, EpilogueKeepsEachPathsRounding) {
+  clear_compute_mode();
+  expect_epilogue<float>(cgemm, compute_mode::standard, fused::none,
+                         fused::none);
+  expect_epilogue<double>(zgemm, compute_mode::standard, fused::p_re,
+                          fused::p_re);
+  expect_epilogue<float>(cgemm, compute_mode::complex_3m, fused::p_im,
+                         fused::w_re);
+  expect_epilogue<double>(zgemm, compute_mode::complex_3m, fused::p_im,
+                          fused::w_re);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
+
+#include "dcmesh/common/rng.hpp"
+#include "dcmesh/sched/config.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -100,6 +104,29 @@ TEST(Current, OccupationWeighting) {
   const double j2 = current_density<double>(g, mesh::fd_order::fourth, 2,
                                             two, occ2, 0.0, g.dv());
   EXPECT_NEAR(j1, j2, 1e-12);
+}
+
+TEST(Current, TeamWidthLeavesTheBitsUnchanged) {
+  // Occupied orbitals are team indices; their sums are folded in orbital
+  // order afterwards, so every team width gives the single-thread bits.
+  const mesh::grid3d g{9, 7, 6, 0.8};
+  const std::size_t norb = 11;
+  matrix<std::complex<float>> psi(static_cast<std::size_t>(g.size()), norb);
+  xoshiro256 rng(17);
+  for (std::size_t i = 0; i < psi.size(); ++i) {
+    psi.data()[i] = {static_cast<float>(rng.uniform(-1, 1)),
+                     static_cast<float>(rng.uniform(-1, 1))};
+  }
+  std::vector<double> occ(norb, 0.0);
+  for (std::size_t j = 0; j < norb; j += 2) occ[j] = 2.0 - 0.1 * double(j);
+  const auto run = [&](int width) {
+    sched::set_max_threads(width);
+    return current_density<float>(g, mesh::fd_order::fourth, 1, psi, occ,
+                                  0.07, g.dv());
+  };
+  const double want = run(1);
+  for (const int width : {2, 3, 4}) EXPECT_EQ(run(width), want) << width;
+  sched::set_max_threads(0);
 }
 
 }  // namespace

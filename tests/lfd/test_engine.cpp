@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dcmesh/blas/verbose.hpp"
 #include "dcmesh/lfd/init.hpp"
 #include "dcmesh/lfd/potential.hpp"
 #include "dcmesh/qxmd/supercell.hpp"
+#include "dcmesh/sched/config.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -63,6 +65,35 @@ TEST(Engine, DeterministicAcrossInstances) {
     ASSERT_EQ(ra.ekin, rb.ekin);
     ASSERT_EQ(ra.nexc, rb.nexc);
     ASSERT_EQ(ra.javg, rb.javg);
+  }
+}
+
+TEST(Engine, TeamWidthLeavesTheTrajectoryBitIdentical) {
+  // The local propagation is a team region over orbitals (each runs its
+  // whole Taylor expansion, and for Strang both phase sweeps, in one
+  // index); any team width must give the single-thread bits.
+  for (const propagator_kind kind :
+       {propagator_kind::taylor, propagator_kind::strang}) {
+    auto setup = make_setup(0.2);
+    setup.options.propagator = kind;
+    std::vector<qd_record> want;
+    for (const int width : {1, 2, 4}) {
+      sched::set_max_threads(width);
+      auto engine = make_engine<float>(setup);
+      for (int i = 0; i < 4; ++i) {
+        const qd_record r = engine.qd_step();
+        if (width == 1) {
+          want.push_back(r);
+          continue;
+        }
+        const qd_record& w = want[static_cast<std::size_t>(i)];
+        EXPECT_EQ(r.ekin, w.ekin) << "width " << width << " step " << i;
+        EXPECT_EQ(r.epot, w.epot) << "width " << width << " step " << i;
+        EXPECT_EQ(r.nexc, w.nexc) << "width " << width << " step " << i;
+        EXPECT_EQ(r.javg, w.javg) << "width " << width << " step " << i;
+      }
+    }
+    sched::set_max_threads(0);
   }
 }
 
